@@ -36,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::packet::NodeId;
-use crate::time::{SimDuration, SimTime};
+use simkern::{SimDuration, SimTime};
 
 /// Stochastic frame-level chaos applied to data frames on each hop.
 ///

@@ -48,7 +48,6 @@ mod os;
 mod packet;
 mod route;
 mod stats;
-mod time;
 mod topology;
 mod world;
 
@@ -61,8 +60,8 @@ pub use fault::{FaultEntry, FaultKind, FaultPlan, FaultPlanBuilder, FrameChaos};
 pub use os::{BatteryModel, NodeOs, TimerToken};
 pub use packet::{DataPacket, Frame, NodeId};
 pub use route::{KernelRouteTable, RouteEntry};
+pub use simkern::{SimDuration, SimTime};
 pub use stats::{StatsWindow, WorldStats};
-pub use time::{SimDuration, SimTime};
 pub use topology::{GilbertElliott, LinkModel, LinkPhase, LinkState, Topology};
 pub use world::{PendingClass, PendingEvent, RebootFactory, World, WorldBuilder};
 

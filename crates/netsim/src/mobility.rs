@@ -10,9 +10,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::packet::NodeId;
-use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkState, Topology};
 use crate::world::World;
+use simkern::{SimDuration, SimTime};
 
 /// Parameters of a random-waypoint walk.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -6,7 +6,7 @@ use packetbb::Address;
 
 use crate::packet::{DataPacket, NodeId};
 use crate::route::KernelRouteTable;
-use crate::time::{SimDuration, SimTime};
+use simkern::{SimDuration, SimTime};
 
 /// Token identifying a pending timer; chosen by the agent when arming.
 pub type TimerToken = u64;

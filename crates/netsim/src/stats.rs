@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::time::SimDuration;
+use simkern::SimDuration;
 
 /// Counters accumulated over a simulation run.
 ///

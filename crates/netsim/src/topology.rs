@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::packet::NodeId;
-use crate::time::SimDuration;
+use simkern::SimDuration;
 
 /// Whether a link currently exists between a pair of nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

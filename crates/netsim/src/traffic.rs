@@ -3,8 +3,8 @@
 use packetbb::Address;
 
 use crate::packet::NodeId;
-use crate::time::{SimDuration, SimTime};
 use crate::world::World;
+use simkern::{SimDuration, SimTime};
 
 /// A constant-bit-rate flow: `count` datagrams of `payload` bytes from
 /// `src` to `dst`, one every `interval`, starting at `start`.

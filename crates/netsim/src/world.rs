@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use simkern::EventQueue;
+use simkern::{EventQueue, SimDuration, SimTime};
 
 use packetbb::Address;
 use phy::{Enqueue as PhyEnqueue, Phy, PhyModel, Resched as PhyResched, TxId};
@@ -19,7 +19,6 @@ use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::os::{Action, BatteryModel, NodeOs};
 use crate::packet::{DataPacket, Frame, NodeId};
 use crate::stats::{StatsWindow, WorldStats};
-use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkModel, LinkPhase, LinkState, Topology};
 
 #[derive(Debug)]
@@ -76,10 +75,12 @@ enum EventKind {
     Fault(FaultKind),
 }
 
-/// What a phy-layer transmission will deliver when it finishes serializing.
-/// Radio conditions (reachability, Gilbert–Elliott loss, frame chaos) are
-/// sampled at completion time — drop-at-dequeue, never at enqueue — so
-/// fault plans replay identically however contention stretches the queue.
+/// One transmission, under every phy model: what leaves the sender's radio
+/// and what [`World::radio`] decides the fate of. The channel models queue
+/// the job and sample radio conditions (reachability, Gilbert–Elliott loss,
+/// frame chaos) when it finishes serializing — drop-at-dequeue, never at
+/// enqueue — so fault plans replay identically however contention
+/// stretches the queue.
 #[derive(Debug)]
 enum PhyJob {
     /// A broadcast control frame: one serialization occupies the sender's
@@ -87,8 +88,7 @@ enum PhyJob {
     Broadcast { bytes: Vec<u8> },
     /// A unicast control frame to a resolved neighbour.
     Unicast { nb: NodeId, bytes: Vec<u8> },
-    /// A data packet being forwarded one hop (TTL already decremented at
-    /// route time).
+    /// A data packet being forwarded one hop (TTL already decremented).
     Data { nb: NodeId, packet: DataPacket },
 }
 
@@ -306,8 +306,8 @@ impl WorldBuilder {
     }
 
     /// Selects the physical-layer channel model (default
-    /// [`PhyModel::Ideal`], which preserves the historical flat-delay
-    /// delivery path bit for bit). Under `ConstantBandwidth` and
+    /// [`PhyModel::Ideal`]: zero airtime, every frame transmits at send and
+    /// arrives after the link model's delay). Under `ConstantBandwidth` and
     /// `SharedAirtime` every transmission pays a size-proportional
     /// serialization delay, waits in a bounded per-node FIFO transmit
     /// queue, and — for shared airtime — splits channel capacity max-min
@@ -439,7 +439,8 @@ pub struct World {
     /// an external scheduler (the `mcheck` model checker) picks the order.
     controlled: Option<ControlledQueue>,
     /// The channel engine for non-ideal phy models; `None` under
-    /// [`PhyModel::Ideal`], whose delivery path is untouched.
+    /// [`PhyModel::Ideal`], which hands each frame straight to the shared
+    /// radio path at send.
     phy: Option<Phy<PhyJob>>,
 }
 
@@ -637,15 +638,8 @@ impl World {
         dst: Address,
         payload: Vec<u8>,
     ) -> u64 {
-        self.next_packet_id += 1;
-        let id = self.next_packet_id;
-        let packet = DataPacket {
-            id,
-            src: self.nodes[src.0].os.addr(),
-            dst,
-            ttl: self.default_ttl,
-            payload,
-        };
+        let packet = self.new_datagram(src, dst, payload);
+        let id = packet.id;
         self.schedule(at, EventKind::DataInject { node: src, packet });
         id
     }
@@ -1086,25 +1080,8 @@ impl World {
                 }
             }
             Action::SendData { dst, payload } => {
-                self.next_packet_id += 1;
-                let id = self.next_packet_id;
-                let packet = DataPacket {
-                    id,
-                    src: self.nodes[node.0].os.addr(),
-                    dst,
-                    ttl: self.default_ttl,
-                    payload,
-                };
-                self.stats.data_sent += 1;
-                self.sent_at.insert(id, SentRecord::new(self.now));
-                tr!(
-                    self,
-                    node,
-                    DataSend,
-                    "data",
-                    self.node_of(packet.dst).map_or(u64::MAX, |n| n.0 as u64),
-                    packet.payload.len()
-                );
+                let packet = self.new_datagram(node, dst, payload);
+                self.account_send(node, &packet);
                 self.schedule(self.now, EventKind::DataPlane { node, packet });
             }
         }
@@ -1114,52 +1091,10 @@ impl World {
         let frame_len = Frame::control_wire_len(bytes.len());
         self.stats.control_frames += 1;
         self.stats.control_bytes += frame_len as u64;
-        if self.phy.is_some() {
-            // Channel-model path: the frame queues at the sender's radio;
-            // battery drain and per-neighbour radio outcomes happen at
-            // transmit time, not here.
-            match dst {
-                None => {
-                    tr!(self, node, FrameTx, "frame.control", frame_len, u64::MAX);
-                    self.phy_enqueue(node, PhyJob::Broadcast { bytes });
-                }
-                Some(addr) => {
-                    let Some(nb) = self.node_of(addr) else {
-                        self.stats.control_lost += 1;
-                        tr!(self, node, FrameDrop, "no_such_addr", u64::MAX, frame_len);
-                        return;
-                    };
-                    tr!(self, node, FrameTx, "frame.control", frame_len, nb.0);
-                    self.phy_enqueue(node, PhyJob::Unicast { nb, bytes });
-                }
-            }
-            return;
-        }
-        self.nodes[node.0].os.battery.drain_tx(frame_len);
-        match dst {
+        let job = match dst {
             None => {
                 tr!(self, node, FrameTx, "frame.control", frame_len, u64::MAX);
-                for nb in self.topo.neighbours(node) {
-                    if !self.reachable(node, nb) {
-                        self.stats.control_lost += 1;
-                        tr!(self, node, FrameDrop, "unreachable", nb.0, frame_len);
-                        continue;
-                    }
-                    if self.sample_link_loss(node, nb) {
-                        self.stats.control_lost += 1;
-                        tr!(self, node, FrameDrop, "loss", nb.0, frame_len);
-                        continue;
-                    }
-                    let delay = self.link_model.sample_delay(&mut self.rng);
-                    self.schedule(
-                        self.now + delay,
-                        EventKind::Arrival {
-                            node: nb,
-                            from: node,
-                            frame: Frame::Control(bytes.clone()),
-                        },
-                    );
-                }
+                PhyJob::Broadcast { bytes }
             }
             Some(addr) => {
                 let Some(nb) = self.node_of(addr) else {
@@ -1168,32 +1103,163 @@ impl World {
                     return;
                 };
                 tr!(self, node, FrameTx, "frame.control", frame_len, nb.0);
-                if !self.reachable(node, nb) {
-                    self.stats.control_lost += 1;
-                    tr!(self, node, FrameDrop, "unreachable", nb.0, frame_len);
-                    if self.link_feedback {
-                        self.with_agent(node, |agent, os| {
-                            agent.on_filter_event(os, FilterEvent::TxFailed { neighbour: addr });
-                        });
+                PhyJob::Unicast { nb, bytes }
+            }
+        };
+        if self.phy.is_some() {
+            self.phy_enqueue(node, job);
+        } else {
+            self.tx_start(node, &job);
+            self.radio(node, job);
+        }
+    }
+
+    /// A transmission starts occupying the air: the sender's battery pays
+    /// for every byte on air, MAC header included, and a data frame counts
+    /// one hop. Ideal transmits at send; the channel models when the frame
+    /// reaches the head of the transmit queue, so a queued frame that never
+    /// transmits costs nothing.
+    fn tx_start(&mut self, node: NodeId, job: &PhyJob) {
+        self.nodes[node.0].os.battery.drain_tx(job.wire_len());
+        if let PhyJob::Data {
+            nb: _nb,
+            packet: _packet,
+        } = job
+        {
+            self.stats.data_hops += 1;
+            tr!(self, node, DataHop, "data", _nb.0, _packet.ttl);
+        }
+    }
+
+    /// The radio fate of one transmission leaving `node`, for every phy
+    /// model: per-receiver reachability and chance loss, link feedback,
+    /// frame chaos and propagation delay. A broadcast occupies the air
+    /// once; each in-range neighbour gets its own draws.
+    fn radio(&mut self, node: NodeId, job: PhyJob) {
+        let wire = job.wire_len();
+        match job {
+            PhyJob::Broadcast { bytes } => {
+                for nb in self.topo.neighbours(node) {
+                    if self.control_link(node, nb, wire, false) {
+                        self.propagate(node, nb, Frame::Control(bytes.clone()), SimDuration::ZERO);
                     }
-                    return;
                 }
-                if self.sample_link_loss(node, nb) {
-                    self.stats.control_lost += 1;
-                    tr!(self, node, FrameDrop, "loss", nb.0, frame_len);
-                    return;
+            }
+            PhyJob::Unicast { nb, bytes } => {
+                if self.control_link(node, nb, wire, true) {
+                    self.propagate(node, nb, Frame::Control(bytes), SimDuration::ZERO);
                 }
-                let delay = self.link_model.sample_delay(&mut self.rng);
-                self.schedule(
-                    self.now + delay,
-                    EventKind::Arrival {
-                        node: nb,
-                        from: node,
-                        frame: Frame::Control(bytes),
-                    },
-                );
+            }
+            PhyJob::Data { nb, packet } => {
+                if self.data_link(node, nb, &packet) {
+                    self.propagate_data(node, nb, packet);
+                }
             }
         }
+    }
+
+    /// Whether a control frame from `node` crosses the hop to `nb`:
+    /// reachability, then chance loss. An unreachable unicast peer raises
+    /// `TxFailed` at the sender (with link feedback on).
+    fn control_link(&mut self, node: NodeId, nb: NodeId, _wire: usize, unicast: bool) -> bool {
+        if !self.reachable(node, nb) {
+            self.stats.control_lost += 1;
+            tr!(self, node, FrameDrop, "unreachable", nb.0, _wire);
+            if unicast && self.link_feedback {
+                let neighbour = self.nodes[nb.0].os.addr();
+                self.with_agent(node, |agent, os| {
+                    agent.on_filter_event(os, FilterEvent::TxFailed { neighbour });
+                });
+            }
+            return false;
+        }
+        if self.sample_link_loss(node, nb) {
+            self.stats.control_lost += 1;
+            tr!(self, node, FrameDrop, "loss", nb.0, _wire);
+            return false;
+        }
+        true
+    }
+
+    /// Whether a data frame from `node` crosses the hop to `nb`. A failed
+    /// hop drops the packet and tells the sender's agent: `TxFailed` (with
+    /// link feedback on), and `ForwardFailure` for transit traffic.
+    fn data_link(&mut self, node: NodeId, nb: NodeId, packet: &DataPacket) -> bool {
+        if self.reachable(node, nb) && !self.sample_link_loss(node, nb) {
+            return true;
+        }
+        self.stats.data_dropped_link += 1;
+        tr!(self, node, DataDrop, "link", packet.id, packet.ttl);
+        self.settle_send(packet.id);
+        let next_hop = self.nodes[nb.0].os.addr();
+        let (dst, src) = (packet.dst, packet.src);
+        if self.link_feedback {
+            self.with_agent(node, |agent, os| {
+                agent.on_filter_event(
+                    os,
+                    FilterEvent::TxFailed {
+                        neighbour: next_hop,
+                    },
+                );
+            });
+        }
+        if src != self.nodes[node.0].os.addr() {
+            self.with_agent(node, |agent, os| {
+                agent.on_filter_event(os, FilterEvent::ForwardFailure { dst, src, next_hop });
+            });
+        }
+        false
+    }
+
+    /// Frame chaos on a data frame that crossed its link, then propagation
+    /// of every surviving copy. All chaos draws come from the plan's RNG so
+    /// the base simulation stream is unchanged by enabling a fault plan.
+    fn propagate_data(&mut self, node: NodeId, nb: NodeId, packet: DataPacket) {
+        let chaos = self.fault.chaos;
+        if chaos.corrupt > 0.0 && self.fault.rng.gen_bool(chaos.corrupt) {
+            self.stats.data_corrupted += 1;
+            tr!(self, node, DataDrop, "corrupt", packet.id, packet.ttl);
+            self.settle_send(packet.id);
+            return;
+        }
+        if chaos.duplicate > 0.0 && self.fault.rng.gen_bool(chaos.duplicate) {
+            self.stats.data_duplicated += 1;
+            // The clone is a second in-flight copy of the same id; the send
+            // record must outlive both.
+            if let Some(rec) = self.sent_at.get_mut(&packet.id) {
+                rec.copies += 1;
+            }
+            let extra = self.reorder_delay();
+            self.propagate(node, nb, Frame::Data(packet.clone()), extra);
+        }
+        let extra = self.reorder_delay();
+        self.propagate(node, nb, Frame::Data(packet), extra);
+    }
+
+    /// The extra delay of a data frame the fault plan reorders, zero for
+    /// the rest.
+    fn reorder_delay(&mut self) -> SimDuration {
+        let chaos = self.fault.chaos;
+        if chaos.reorder > 0.0 && self.fault.rng.gen_bool(chaos.reorder) {
+            self.stats.data_reordered += 1;
+            let spread = chaos.reorder_spread.as_micros();
+            return SimDuration::from_micros(self.fault.rng.gen_range(0..=spread));
+        }
+        SimDuration::ZERO
+    }
+
+    /// Schedules `frame`'s arrival at `nb` after a sampled link delay plus
+    /// `extra`.
+    fn propagate(&mut self, node: NodeId, nb: NodeId, frame: Frame, extra: SimDuration) {
+        let delay = self.link_model.sample_delay(&mut self.rng) + extra;
+        self.schedule(
+            self.now + delay,
+            EventKind::Arrival {
+                node: nb,
+                from: node,
+                frame,
+            },
+        );
     }
 
     // ---- phy channel model -------------------------------------------------
@@ -1260,30 +1326,24 @@ impl World {
         }
     }
 
-    /// A transmission starts occupying the air: battery drain and per-hop
-    /// data accounting happen now, mirroring the ideal path's at-send
-    /// semantics (a queued frame that never transmits costs nothing).
+    /// The transmission `tx` reaches the head of `node`'s queue and starts
+    /// serializing.
     fn phy_tx_start(&mut self, node: NodeId, tx: TxId) {
-        let Some(job) = self.phy.as_ref().and_then(|p| p.payload(tx)) else {
+        // Lend the engine out so the queued job can be read while the world
+        // accounts for it.
+        let Some(phy) = self.phy.take() else {
             return;
         };
-        let wire = job.wire_len();
-        let data_hop = match job {
-            PhyJob::Data { nb, packet } => Some((*nb, packet.ttl)),
-            PhyJob::Broadcast { .. } | PhyJob::Unicast { .. } => None,
-        };
-        self.nodes[node.0].os.battery.drain_tx(wire);
-        if let Some((_nb, _ttl)) = data_hop {
-            self.stats.data_hops += 1;
-            tr!(self, node, DataHop, "data", _nb.0, _ttl);
+        if let Some(job) = phy.payload(tx) {
+            self.tx_start(node, job);
+            tr!(self, node, PhyTx, "phy", tx, job.wire_len());
         }
-        tr!(self, node, PhyTx, "phy", tx, wire);
+        self.phy = Some(phy);
     }
 
     /// A serialization deadline fires. If it is current (the sequence
-    /// matches), the frame leaves the sender's radio and its radio fate —
-    /// reachability, Gilbert–Elliott loss, frame chaos, propagation delay —
-    /// is decided now, with exactly the draws the ideal path would make.
+    /// matches), the frame leaves the sender's radio and [`World::radio`]
+    /// decides its fate now, at completion (drop-at-dequeue).
     fn phy_complete(&mut self, tx: TxId, seq: u64) {
         let Some((done, rescheds)) = self
             .phy
@@ -1300,149 +1360,7 @@ impl World {
         if let Some(next) = done.started {
             self.phy_tx_start(node, next);
         }
-        match done.payload {
-            PhyJob::Broadcast { bytes } => self.radio_broadcast(node, bytes),
-            PhyJob::Unicast { nb, bytes } => self.radio_unicast(node, nb, bytes),
-            PhyJob::Data { nb, packet } => self.radio_data(node, nb, packet),
-        }
-    }
-
-    /// Radio fate of a completed broadcast: one serialization occupied the
-    /// air; each in-range neighbour now gets its own reachability, loss and
-    /// propagation draws, exactly as the ideal path orders them.
-    fn radio_broadcast(&mut self, node: NodeId, bytes: Vec<u8>) {
-        let _frame_len = Frame::control_wire_len(bytes.len());
-        for nb in self.topo.neighbours(node) {
-            if !self.reachable(node, nb) {
-                self.stats.control_lost += 1;
-                tr!(self, node, FrameDrop, "unreachable", nb.0, _frame_len);
-                continue;
-            }
-            if self.sample_link_loss(node, nb) {
-                self.stats.control_lost += 1;
-                tr!(self, node, FrameDrop, "loss", nb.0, _frame_len);
-                continue;
-            }
-            let delay = self.link_model.sample_delay(&mut self.rng);
-            self.schedule(
-                self.now + delay,
-                EventKind::Arrival {
-                    node: nb,
-                    from: node,
-                    frame: Frame::Control(bytes.clone()),
-                },
-            );
-        }
-    }
-
-    /// Radio fate of a completed unicast control frame.
-    fn radio_unicast(&mut self, node: NodeId, nb: NodeId, bytes: Vec<u8>) {
-        let _frame_len = Frame::control_wire_len(bytes.len());
-        if !self.reachable(node, nb) {
-            self.stats.control_lost += 1;
-            tr!(self, node, FrameDrop, "unreachable", nb.0, _frame_len);
-            if self.link_feedback {
-                let neighbour = self.nodes[nb.0].os.addr();
-                self.with_agent(node, |agent, os| {
-                    agent.on_filter_event(os, FilterEvent::TxFailed { neighbour });
-                });
-            }
-            return;
-        }
-        if self.sample_link_loss(node, nb) {
-            self.stats.control_lost += 1;
-            tr!(self, node, FrameDrop, "loss", nb.0, _frame_len);
-            return;
-        }
-        let delay = self.link_model.sample_delay(&mut self.rng);
-        self.schedule(
-            self.now + delay,
-            EventKind::Arrival {
-                node: nb,
-                from: node,
-                frame: Frame::Control(bytes),
-            },
-        );
-    }
-
-    /// Radio fate of a completed data transmission: the tail of the ideal
-    /// [`World::forward`] path (link check, chaos, propagation), minus the
-    /// enqueue-time decisions (TTL, battery, hop count, RouteUsed) already
-    /// taken.
-    fn radio_data(&mut self, node: NodeId, nb: NodeId, packet: DataPacket) {
-        let next_hop = self.nodes[nb.0].os.addr();
-        let local_addr = self.nodes[node.0].os.addr();
-        let link_ok = self.reachable(node, nb) && !self.sample_link_loss(node, nb);
-        if !link_ok {
-            self.stats.data_dropped_link += 1;
-            tr!(self, node, DataDrop, "link", packet.id, packet.ttl);
-            self.settle_send(packet.id);
-            let dst = packet.dst;
-            let src = packet.src;
-            if self.link_feedback {
-                self.with_agent(node, |agent, os| {
-                    agent.on_filter_event(
-                        os,
-                        FilterEvent::TxFailed {
-                            neighbour: next_hop,
-                        },
-                    );
-                });
-            }
-            if src != local_addr {
-                self.with_agent(node, |agent, os| {
-                    agent.on_filter_event(os, FilterEvent::ForwardFailure { dst, src, next_hop });
-                });
-            }
-            return;
-        }
-        let chaos = self.fault.chaos;
-        if chaos.is_active() {
-            if chaos.corrupt > 0.0 && self.fault.rng.gen_bool(chaos.corrupt) {
-                self.stats.data_corrupted += 1;
-                tr!(self, node, DataDrop, "corrupt", packet.id, packet.ttl);
-                self.settle_send(packet.id);
-                return;
-            }
-            let copies = if chaos.duplicate > 0.0 && self.fault.rng.gen_bool(chaos.duplicate) {
-                self.stats.data_duplicated += 1;
-                if let Some(rec) = self.sent_at.get_mut(&packet.id) {
-                    rec.copies += 1;
-                }
-                2
-            } else {
-                1
-            };
-            for _ in 0..copies {
-                let mut delay = self.link_model.sample_delay(&mut self.rng);
-                if chaos.reorder > 0.0 && self.fault.rng.gen_bool(chaos.reorder) {
-                    self.stats.data_reordered += 1;
-                    let extra = self
-                        .fault
-                        .rng
-                        .gen_range(0..=chaos.reorder_spread.as_micros());
-                    delay = delay + SimDuration::from_micros(extra);
-                }
-                self.schedule(
-                    self.now + delay,
-                    EventKind::Arrival {
-                        node: nb,
-                        from: node,
-                        frame: Frame::Data(packet.clone()),
-                    },
-                );
-            }
-            return;
-        }
-        let delay = self.link_model.sample_delay(&mut self.rng);
-        self.schedule(
-            self.now + delay,
-            EventKind::Arrival {
-                node: nb,
-                from: node,
-                frame: Frame::Data(packet),
-            },
-        );
+        self.radio(node, done.payload);
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -1489,16 +1407,7 @@ impl World {
                 self.with_agent(node, |agent, os| agent.on_timer(os, token));
             }
             EventKind::DataInject { node, packet } => {
-                self.stats.data_sent += 1;
-                self.sent_at.insert(packet.id, SentRecord::new(self.now));
-                tr!(
-                    self,
-                    node,
-                    DataSend,
-                    "data",
-                    self.node_of(packet.dst).map_or(u64::MAX, |n| n.0 as u64),
-                    packet.payload.len()
-                );
+                self.account_send(node, &packet);
                 self.dispatch(EventKind::DataPlane { node, packet });
             }
             EventKind::DataPlane { node, packet } => {
@@ -1691,6 +1600,33 @@ impl World {
         }
     }
 
+    /// A fresh application datagram from `src`, stamped with the next
+    /// packet id and the default TTL.
+    fn new_datagram(&mut self, src: NodeId, dst: Address, payload: Vec<u8>) -> DataPacket {
+        self.next_packet_id += 1;
+        DataPacket {
+            id: self.next_packet_id,
+            src: self.nodes[src.0].os.addr(),
+            dst,
+            ttl: self.default_ttl,
+            payload,
+        }
+    }
+
+    /// Accounts an application datagram as sent from `node` now.
+    fn account_send(&mut self, _node: NodeId, packet: &DataPacket) {
+        self.stats.data_sent += 1;
+        self.sent_at.insert(packet.id, SentRecord::new(self.now));
+        tr!(
+            self,
+            _node,
+            DataSend,
+            "data",
+            self.node_of(packet.dst).map_or(u64::MAX, |n| n.0 as u64),
+            packet.payload.len()
+        );
+    }
+
     /// Samples loss on the `(a, b)` link: the per-link Gilbert–Elliott
     /// chain when burst loss is configured, the i.i.d. model otherwise.
     fn sample_link_loss(&mut self, a: NodeId, b: NodeId) -> bool {
@@ -1816,6 +1752,18 @@ impl World {
         }
     }
 
+    /// Forwards `packet` one hop, to the neighbour at `next_hop`.
+    ///
+    /// Every phy model takes the same decisions; only their order differs.
+    /// Under [`PhyModel::Ideal`] the link is decided first (a failed link
+    /// is a `data_dropped_link` with `TxFailed`/`ForwardFailure` feedback,
+    /// whatever the TTL), then the TTL, then the hop is counted and
+    /// `RouteUsed` raised, all at send. Under the channel models the TTL
+    /// and `RouteUsed` are decided here at enqueue, the hop is counted when
+    /// the frame starts transmitting, and the link is decided when it
+    /// completes: a TTL-exhausted packet is a `data_dropped_ttl` with no
+    /// feedback, and a packet over a dead link has raised `RouteUsed` and
+    /// counted its hop before its `TxFailed`.
     fn forward(&mut self, node: NodeId, packet: DataPacket, next_hop: Address) {
         let Some(nb) = self.node_of(next_hop) else {
             self.stats.data_dropped_link += 1;
@@ -1823,53 +1771,8 @@ impl World {
             self.settle_send(packet.id);
             return;
         };
-        if self.phy.is_some() {
-            // Channel-model path: routing decisions (TTL, RouteUsed
-            // feedback) happen at enqueue; link loss and chaos are sampled
-            // only when the frame actually transmits (drop-at-dequeue), so
-            // fault plans replay identically however the queue stretches.
-            let Some(next_packet) = packet.next_hop_copy() else {
-                self.stats.data_dropped_ttl += 1;
-                tr!(self, node, DataDrop, "ttl", packet.id, packet.ttl);
-                self.settle_send(packet.id);
-                return;
-            };
-            let dst = next_packet.dst;
-            self.with_agent(node, |agent, os| {
-                agent.on_filter_event(os, FilterEvent::RouteUsed { dst, next_hop });
-            });
-            self.phy_enqueue(
-                node,
-                PhyJob::Data {
-                    nb,
-                    packet: next_packet,
-                },
-            );
-            return;
-        }
-        let local_addr = self.nodes[node.0].os.addr();
-        let link_ok = self.reachable(node, nb) && !self.sample_link_loss(node, nb);
-        if !link_ok {
-            self.stats.data_dropped_link += 1;
-            tr!(self, node, DataDrop, "link", packet.id, packet.ttl);
-            self.settle_send(packet.id);
-            let dst = packet.dst;
-            let src = packet.src;
-            if self.link_feedback {
-                self.with_agent(node, |agent, os| {
-                    agent.on_filter_event(
-                        os,
-                        FilterEvent::TxFailed {
-                            neighbour: next_hop,
-                        },
-                    );
-                });
-            }
-            if src != local_addr {
-                self.with_agent(node, |agent, os| {
-                    agent.on_filter_event(os, FilterEvent::ForwardFailure { dst, src, next_hop });
-                });
-            }
+        let ideal = self.phy.is_none();
+        if ideal && !self.data_link(node, nb, &packet) {
             return;
         }
         let Some(next_packet) = packet.next_hop_copy() else {
@@ -1878,72 +1781,22 @@ impl World {
             self.settle_send(packet.id);
             return;
         };
-        let wire = next_packet.wire_len();
-        self.nodes[node.0].os.battery.drain_tx(wire);
-        self.stats.data_hops += 1;
-        tr!(self, node, DataHop, "data", nb.0, next_packet.ttl);
-        let dst = next_packet.dst;
+        let job = PhyJob::Data {
+            nb,
+            packet: next_packet,
+        };
+        if ideal {
+            self.tx_start(node, &job);
+        }
+        let dst = packet.dst;
         self.with_agent(node, |agent, os| {
             agent.on_filter_event(os, FilterEvent::RouteUsed { dst, next_hop });
         });
-        let chaos = self.fault.chaos;
-        if chaos.is_active() {
-            // All chaos draws come from the plan's RNG so the base
-            // simulation stream is unchanged by enabling a fault plan.
-            if chaos.corrupt > 0.0 && self.fault.rng.gen_bool(chaos.corrupt) {
-                self.stats.data_corrupted += 1;
-                tr!(
-                    self,
-                    node,
-                    DataDrop,
-                    "corrupt",
-                    next_packet.id,
-                    next_packet.ttl
-                );
-                self.settle_send(next_packet.id);
-                return;
-            }
-            let copies = if chaos.duplicate > 0.0 && self.fault.rng.gen_bool(chaos.duplicate) {
-                self.stats.data_duplicated += 1;
-                // The clone is a second in-flight copy of the same id; the
-                // send record must outlive both.
-                if let Some(rec) = self.sent_at.get_mut(&next_packet.id) {
-                    rec.copies += 1;
-                }
-                2
-            } else {
-                1
-            };
-            for _ in 0..copies {
-                let mut delay = self.link_model.sample_delay(&mut self.rng);
-                if chaos.reorder > 0.0 && self.fault.rng.gen_bool(chaos.reorder) {
-                    self.stats.data_reordered += 1;
-                    let extra = self
-                        .fault
-                        .rng
-                        .gen_range(0..=chaos.reorder_spread.as_micros());
-                    delay = delay + SimDuration::from_micros(extra);
-                }
-                self.schedule(
-                    self.now + delay,
-                    EventKind::Arrival {
-                        node: nb,
-                        from: node,
-                        frame: Frame::Data(next_packet.clone()),
-                    },
-                );
-            }
-            return;
+        if !ideal {
+            self.phy_enqueue(node, job);
+        } else if let PhyJob::Data { packet, .. } = job {
+            self.propagate_data(node, nb, packet);
         }
-        let delay = self.link_model.sample_delay(&mut self.rng);
-        self.schedule(
-            self.now + delay,
-            EventKind::Arrival {
-                node: nb,
-                from: node,
-                frame: Frame::Data(next_packet),
-            },
-        );
     }
 }
 

@@ -1,13 +1,18 @@
 //! Integration tests for the phy channel model: serialization latency,
 //! tail drop, FIFO ordering, shared-airtime contention, the
 //! fault-composition contract (loss/chaos sampled at transmit time, never
-//! at enqueue) and crash flushing.
+//! at enqueue), crash flushing, and what every phy model shares or orders
+//! differently on the one radio path: decision order on a dead link and
+//! battery drain.
+
+use std::sync::{Arc, Mutex};
 
 use netsim::fault::FaultPlan;
 use netsim::{
-    Channel, FrameChaos, GilbertElliott, LinkModel, NodeId, PhyModel, SimDuration, SimTime,
-    Topology, World, WorldBuilder,
+    BatteryModel, Channel, FilterEvent, FrameChaos, GilbertElliott, LinkModel, LinkState, NodeId,
+    NodeOs, PhyModel, RoutingAgent, SimDuration, SimTime, Topology, World, WorldBuilder,
 };
+use packetbb::Address;
 
 /// 144 wire bytes (24 MAC + 20 IP + 100 payload) at this rate serialize
 /// in exactly 1000 µs.
@@ -25,8 +30,11 @@ fn quiet_link() -> LinkModel {
 
 /// Two nodes in range, a host route from 0 to 1, deterministic link.
 fn two_node_world(phy: PhyModel) -> World {
-    let mut world = World::builder()
-        .nodes(2)
+    two_node_world_with(World::builder(), phy)
+}
+
+fn two_node_world_with(builder: WorldBuilder, phy: PhyModel) -> World {
+    let mut world = builder
         .topology(Topology::full(2))
         .link_model(quiet_link())
         .seed(7)
@@ -88,7 +96,7 @@ fn ideal_model_is_bit_identical_to_the_default() {
     assert_eq!(
         default.first_difference(&ideal),
         None,
-        "PhyModel::Ideal must take the exact legacy code paths"
+        "an explicit PhyModel::Ideal must equal the default"
     );
     assert_eq!(default.phy_frames_tx, 0, "ideal channel reports no phy");
     assert!(default.data_delivered > 0, "some packets get through");
@@ -316,4 +324,108 @@ fn crash_flushes_the_transmit_queue_without_leaking_sends() {
         "flushed frames must settle their send records"
     );
     assert_eq!(s.phy_frames_tx, 1, "the aborted frame never completed");
+}
+
+/// Records the filter events its node's data plane raises.
+struct Recorder(Arc<Mutex<Vec<FilterEvent>>>);
+
+impl RoutingAgent for Recorder {
+    fn name(&self) -> &str {
+        "recorder"
+    }
+    fn start(&mut self, _os: &mut NodeOs) {}
+    fn on_frame(&mut self, _os: &mut NodeOs, _from: Address, _bytes: &[u8]) {}
+    fn on_timer(&mut self, _os: &mut NodeOs, _token: u64) {}
+    fn on_filter_event(&mut self, _os: &mut NodeOs, event: FilterEvent) {
+        self.0.lock().unwrap().push(event);
+    }
+}
+
+/// The per-model decision order documented on `World::forward`: Ideal
+/// decides the link before the TTL and counts no hop over a dead link; the
+/// channel models decide the TTL and `RouteUsed` at enqueue, count the hop
+/// at transmit start and decide the link at completion.
+#[test]
+fn dead_link_decision_order_per_phy_model() {
+    let channel = PhyModel::ConstantBandwidth(Channel {
+        bits_per_sec: BPS_1MS_PER_FRAME,
+        queue_frames: 64,
+    });
+    let run = |phy: PhyModel, ttl: u8| {
+        let mut world = World::builder()
+            .topology(Topology::full(2))
+            .link_model(quiet_link())
+            .default_ttl(ttl)
+            .phy(phy)
+            .build();
+        let events = Arc::new(Mutex::new(Vec::new()));
+        world.install_agent(NodeId(0), Box::new(Recorder(events.clone())));
+        let dst = world.addr(NodeId(1));
+        world
+            .os_mut(NodeId(0))
+            .route_table_mut()
+            .add_host_route(dst, dst, 1);
+        world.set_link(NodeId(0), NodeId(1), LinkState::Down);
+        world.send_datagram(NodeId(0), dst, vec![0u8; PAYLOAD]);
+        world.run_for(SimDuration::from_secs(1));
+        assert_eq!(world.outstanding_sends(), 0);
+        let events = events.lock().unwrap().clone();
+        (world.stats(), events, dst)
+    };
+    let used = |dst| FilterEvent::RouteUsed { dst, next_hop: dst };
+    let failed = |neighbour| FilterEvent::TxFailed { neighbour };
+
+    let (s, events, dst) = run(PhyModel::Ideal, 1);
+    assert_eq!((s.data_dropped_link, s.data_dropped_ttl), (1, 0));
+    assert_eq!(events, vec![failed(dst)]);
+
+    let (s, events, _) = run(channel, 1);
+    assert_eq!((s.data_dropped_link, s.data_dropped_ttl), (0, 1));
+    assert_eq!(events, vec![]);
+
+    let (s, events, dst) = run(PhyModel::Ideal, 32);
+    assert_eq!((s.data_dropped_link, s.data_hops), (1, 0));
+    assert_eq!(events, vec![failed(dst)]);
+
+    let (s, events, dst) = run(channel, 32);
+    assert_eq!((s.data_dropped_link, s.data_hops), (1, 1));
+    assert_eq!(events, vec![used(dst), failed(dst)]);
+}
+
+/// Every model charges the sender for the same bytes on air: the MAC
+/// header on data hops too, and nothing for a unicast control frame whose
+/// address resolves to no node.
+#[test]
+fn battery_drain_is_exact_and_equal_across_phy_models() {
+    const CONTROL: usize = 40;
+    // A power-of-two capacity keeps `1 - used / capacity` exact.
+    const CAPACITY: f64 = (1u64 << 20) as f64;
+    let drained = |phy: PhyModel| {
+        let mut world = two_node_world_with(
+            World::builder().battery(BatteryModel {
+                capacity: CAPACITY,
+                idle_per_sec: 0.0,
+                tx_per_byte: 1.0,
+                rx_per_byte: 0.0,
+            }),
+            phy,
+        );
+        send_n(&mut world, 1);
+        let os = world.os_mut(NodeId(0));
+        os.broadcast_control(vec![0u8; CONTROL]);
+        os.unicast_control(Address::v4([10, 9, 9, 9]), vec![0u8; CONTROL]);
+        world.run_for(SimDuration::from_secs(1));
+        assert_eq!(world.stats().data_delivered, 1);
+        (1.0 - world.os(NodeId(0)).battery_level()) * CAPACITY
+    };
+    // 24 MAC + 20 IP + 100 payload, then 24 MAC + 40 control bytes.
+    let expected = (24 + 20 + PAYLOAD + 24 + CONTROL) as f64;
+    assert_eq!(drained(PhyModel::Ideal), expected);
+    assert_eq!(
+        drained(PhyModel::ConstantBandwidth(Channel {
+            bits_per_sec: BPS_1MS_PER_FRAME,
+            queue_frames: 64,
+        })),
+        expected
+    );
 }

@@ -61,13 +61,12 @@ impl Default for Channel {
 
 /// Which channel model a world runs.
 ///
-/// `Ideal` is the default and preserves the simulator's historical behaviour
-/// bit for bit: no serialization delay, no queueing, no contention, and no
-/// extra random draws. The other models route every transmission through a
-/// [`Phy`] engine.
+/// `Ideal` is the default: no serialization delay, no queueing, no
+/// contention, and no extra random draws. The other models route every
+/// transmission through a [`Phy`] engine.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PhyModel {
-    /// Flat per-link delay only — the historical delivery path.
+    /// Flat per-link delay only: every frame transmits at send.
     #[default]
     Ideal,
     /// Size-proportional serialization at full channel rate per transmitter,
@@ -79,7 +78,7 @@ pub enum PhyModel {
 }
 
 impl PhyModel {
-    /// True for the historical zero-overhead delivery path.
+    /// True for [`PhyModel::Ideal`], the zero-airtime channel.
     #[must_use]
     pub fn is_ideal(&self) -> bool {
         matches!(self, PhyModel::Ideal)

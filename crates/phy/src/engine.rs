@@ -15,8 +15,18 @@
 //! counts against both, so the invariant *sum of allocated rates within any
 //! domain never exceeds the domain capacity* holds at every reallocation
 //! point — the airtime-conservation property the proptests pin down.
+//!
+//! **Cost.** Every reallocation runs on buffers the engine owns and reuses,
+//! so it allocates nothing beyond the returned [`Resched`] batch. With `n`
+//! active transmissions over `d` distinct domains and `r` filling rounds
+//! (one per distinct bottleneck), it sorts the `≤ 2n` domain ids once
+//! (`O(n log n)`), builds the member lists in `O(n + d)`, scans `O(r · d)`
+//! domains for bottlenecks and freezes each transmission once (`O(n)`).
+//! Around it, `settle` and the deadline pass each walk every active
+//! transmission once.
+//! `ConstantBandwidth` skips the filling and sets every rate to capacity.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use simkern::{SimDuration, SimTime};
 
@@ -104,6 +114,7 @@ pub struct Phy<T> {
     head: Vec<Option<TxId>>,
     active: BTreeMap<TxId, Active<T>>,
     next_tx: TxId,
+    filling: Filling,
 }
 
 impl<T> Phy<T> {
@@ -126,6 +137,7 @@ impl<T> Phy<T> {
             head: vec![None; nodes],
             active: BTreeMap::new(),
             next_tx: 0,
+            filling: Filling::default(),
         }
     }
 
@@ -321,17 +333,13 @@ impl<T> Phy<T> {
 
     /// Recomputes fair-share rates and reissues moved deadlines.
     fn reallocate(&mut self, now: SimTime) -> Vec<Resched> {
-        let rates = if self.shared {
-            self.maxmin_rates()
-        } else {
-            self.active
-                .keys()
-                .map(|&tx| (tx, self.capacity_bps))
-                .collect()
-        };
+        let rates = self.shared.then(|| {
+            self.filling
+                .fill(self.capacity_bps, self.active.values().map(|a| a.domains))
+        });
         let mut out = Vec::new();
-        for (tx, a) in &mut self.active {
-            let rate = rates.get(tx).copied().unwrap_or(self.capacity_bps).max(1.0);
+        for (i, (tx, a)) in self.active.iter_mut().enumerate() {
+            let rate = rates.map_or(self.capacity_bps, |r| r[i]).max(1.0);
             a.rate_bps = rate;
             let finish_us = (a.remaining_bits / rate * 1e6).ceil() as u64;
             let at = now + SimDuration::from_micros(finish_us);
@@ -347,45 +355,118 @@ impl<T> Phy<T> {
         }
         out
     }
+}
 
-    /// Max-min fair shares by progressive filling over contention domains.
-    fn maxmin_rates(&self) -> BTreeMap<TxId, f64> {
-        let mut members: BTreeMap<u32, Vec<TxId>> = BTreeMap::new();
-        for (&tx, a) in &self.active {
-            for d in domain_list(a.domains) {
-                members.entry(d).or_default().push(tx);
+/// Reused buffers for max-min progressive filling.
+///
+/// Domain ids are mapped to dense indices in ascending id order, so scanning
+/// the dense range visits domains exactly as an ordered map would, and the
+/// strict `<` bottleneck comparison breaks ties towards the lowest id. Members
+/// are laid out in CSR form: the transmissions of dense domain `d` are
+/// `members[offsets[d]..offsets[d + 1]]`, ascending by position in the active
+/// set. Every buffer keeps its capacity between calls.
+#[derive(Default)]
+struct Filling {
+    /// Distinct domain ids, ascending; a domain's dense index is its position.
+    ids: Vec<u32>,
+    /// Per transmission: its domains, first as raw ids, then as dense indices.
+    doms: Vec<(u32, u32)>,
+    offsets: Vec<usize>,
+    members: Vec<usize>,
+    /// Per domain: members not yet frozen (a placement cursor while building).
+    unfrozen: Vec<usize>,
+    /// Per domain: the sum of the rates frozen in it so far.
+    frozen_sum: Vec<f64>,
+    frozen: Vec<bool>,
+    rates: Vec<f64>,
+}
+
+impl Filling {
+    /// Max-min fair shares by progressive filling: repeatedly freeze the
+    /// members of the domain with the smallest headroom per unfrozen member
+    /// at that share. Returns one rate per item of `domains`, in order.
+    fn fill(&mut self, capacity: f64, domains: impl Iterator<Item = (u32, u32)>) -> &[f64] {
+        let Filling {
+            ids,
+            doms,
+            offsets,
+            members,
+            unfrozen,
+            frozen_sum,
+            frozen,
+            rates,
+        } = self;
+        doms.clear();
+        doms.extend(domains);
+        ids.clear();
+        ids.extend(doms.iter().flat_map(|&(a, b)| [a, b]));
+        ids.sort_unstable();
+        ids.dedup();
+        let dense = |id: u32| ids.binary_search(&id).expect("domain registered") as u32;
+        for d in doms.iter_mut() {
+            *d = (dense(d.0), dense(d.1));
+        }
+
+        let (n, nd) = (doms.len(), ids.len());
+        offsets.clear();
+        offsets.resize(nd + 1, 0);
+        for d in doms.iter().flat_map(|&pair| domain_list(pair)) {
+            offsets[d as usize + 1] += 1;
+        }
+        for d in 0..nd {
+            offsets[d + 1] += offsets[d];
+        }
+        members.clear();
+        members.resize(offsets[nd], 0);
+        unfrozen.clear();
+        unfrozen.resize(nd, 0);
+        for (i, &pair) in doms.iter().enumerate() {
+            for d in domain_list(pair) {
+                let d = d as usize;
+                members[offsets[d] + unfrozen[d]] = i;
+                unfrozen[d] += 1;
             }
         }
-        let mut rates: BTreeMap<TxId, f64> = BTreeMap::new();
-        let mut frozen_sum: BTreeMap<u32, f64> = members.keys().map(|&d| (d, 0.0)).collect();
-        let mut unfrozen: BTreeSet<TxId> = self.active.keys().copied().collect();
-        while !unfrozen.is_empty() {
+
+        frozen_sum.clear();
+        frozen_sum.resize(nd, 0.0);
+        frozen.clear();
+        frozen.resize(n, false);
+        rates.clear();
+        rates.resize(n, 0.0);
+        let mut left = n;
+        while left > 0 {
             // Bottleneck domain: smallest headroom per unfrozen transmitter,
-            // ties broken towards the lowest domain id (ascending iteration).
-            let mut best: Option<(f64, u32)> = None;
-            for (&d, m) in &members {
-                let k = m.iter().filter(|t| unfrozen.contains(t)).count();
+            // ties broken towards the lowest domain id (ascending scan).
+            let mut best: Option<(f64, usize)> = None;
+            for d in 0..nd {
+                let k = unfrozen[d];
                 if k == 0 {
                     continue;
                 }
-                let head = (self.capacity_bps - frozen_sum[&d]).max(0.0) / k as f64;
+                let head = (capacity - frozen_sum[d]).max(0.0) / k as f64;
                 if best.is_none_or(|(h, _)| head < h) {
                     best = Some((head, d));
                 }
             }
-            let Some((share, d)) = best else { break };
-            let frozen: Vec<TxId> = members[&d]
-                .iter()
-                .copied()
-                .filter(|t| unfrozen.remove(t))
-                .collect();
-            for tx in frozen {
-                rates.insert(tx, share);
-                for dom in domain_list(self.active[&tx].domains) {
-                    *frozen_sum.get_mut(&dom).expect("domain registered") += share;
+            let (share, d) = best.expect("an unfrozen transmission has a domain");
+            for &i in &members[offsets[d]..offsets[d + 1]] {
+                if frozen[i] {
+                    continue;
+                }
+                frozen[i] = true;
+                rates[i] = share;
+                left -= 1;
+                for dom in domain_list(doms[i]) {
+                    frozen_sum[dom as usize] += share;
+                    unfrozen[dom as usize] -= 1;
                 }
             }
         }
+        debug_assert!(
+            frozen.iter().all(|&f| f) && unfrozen.iter().all(|&k| k == 0),
+            "every transmission is frozen exactly once"
+        );
         rates
     }
 }
@@ -398,6 +479,11 @@ fn domain_list(domains: (u32, u32)) -> impl Iterator<Item = u32> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
     fn phy(shared: bool, bps: u64, queue: usize) -> Phy<u32> {
@@ -555,5 +641,157 @@ mod tests {
         let r = rescheds.iter().find(|r| r.tx == tx1).expect("tx1 moved");
         // Half the bits drained at half rate by 1 ms; the rest at full rate.
         assert_eq!(r.at, SimTime::from_micros(1500));
+    }
+
+    /// The progressive filling the engine used before its buffers were
+    /// flattened, kept verbatim (ordered maps rebuilt on every call) as the
+    /// bit-identity oracle for [`Filling::fill`].
+    fn oracle_maxmin(capacity_bps: f64, active: &[(TxId, (u32, u32))]) -> BTreeMap<TxId, f64> {
+        let domains_of: BTreeMap<TxId, (u32, u32)> = active.iter().copied().collect();
+        let mut members: BTreeMap<u32, Vec<TxId>> = BTreeMap::new();
+        for (&tx, &domains) in &domains_of {
+            for d in domain_list(domains) {
+                members.entry(d).or_default().push(tx);
+            }
+        }
+        let mut rates: BTreeMap<TxId, f64> = BTreeMap::new();
+        let mut frozen_sum: BTreeMap<u32, f64> = members.keys().map(|&d| (d, 0.0)).collect();
+        let mut unfrozen: BTreeSet<TxId> = domains_of.keys().copied().collect();
+        while !unfrozen.is_empty() {
+            let mut best: Option<(f64, u32)> = None;
+            for (&d, m) in &members {
+                let k = m.iter().filter(|t| unfrozen.contains(t)).count();
+                if k == 0 {
+                    continue;
+                }
+                let head = (capacity_bps - frozen_sum[&d]).max(0.0) / k as f64;
+                if best.is_none_or(|(h, _)| head < h) {
+                    best = Some((head, d));
+                }
+            }
+            let Some((share, d)) = best else { break };
+            let frozen: Vec<TxId> = members[&d]
+                .iter()
+                .copied()
+                .filter(|t| unfrozen.remove(t))
+                .collect();
+            for tx in frozen {
+                rates.insert(tx, share);
+                for dom in domain_list(domains_of[&tx]) {
+                    *frozen_sum.get_mut(&dom).expect("domain registered") += share;
+                }
+            }
+        }
+        rates
+    }
+
+    /// Capacities that make equal headrooms (ties) and awkward quotients.
+    fn arb_capacity() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(1.0), Just(3.0), Just(128_000.0), Just(11_000_000.0)]
+    }
+
+    /// Active sets over up to 64 domains; few domains make head ties common,
+    /// the stride spreads ids over the whole `u32` range.
+    fn arb_active_set() -> impl Strategy<Value = Vec<(u32, u32)>> {
+        (
+            1u32..=64,
+            prop_oneof![Just(1u32), Just(997), Just(u32::MAX / 64)],
+        )
+            .prop_flat_map(|(nd, stride)| {
+                vec((0..nd, 0..nd, any::<bool>()), 0..96).prop_map(move |raw| {
+                    raw.into_iter()
+                        .map(|(a, b, two)| (a * stride, if two { b * stride } else { a * stride }))
+                        .collect()
+                })
+            })
+    }
+
+    /// One step of an add/remove sequence driven through a [`Phy`].
+    #[derive(Debug, Clone)]
+    enum Op {
+        Enqueue {
+            node: usize,
+            domains: (u32, u32),
+            bytes: usize,
+        },
+        /// Completes the k-th active transmission (modulo the active count).
+        Complete(usize),
+        Flush(usize),
+    }
+
+    /// Steps paired with the simulated gap (µs) before each.
+    fn arb_ops() -> impl Strategy<Value = Vec<(Op, u64)>> {
+        let op = prop_oneof![
+            4 => (0usize..24, (0u32..12, 0u32..12), 1usize..1500).prop_map(
+                |(node, domains, bytes)| Op::Enqueue { node, domains, bytes }
+            ),
+            3 => (0usize..64).prop_map(Op::Complete),
+            1 => (0usize..24).prop_map(Op::Flush),
+        ];
+        vec((op, 0u64..3_000), 1..160)
+    }
+
+    fn assert_rates_match_oracle(p: &Phy<u32>) {
+        let set: Vec<(TxId, (u32, u32))> =
+            p.active.iter().map(|(&tx, a)| (tx, a.domains)).collect();
+        let oracle = oracle_maxmin(p.capacity_bps, &set);
+        for (tx, a) in &p.active {
+            let want = oracle[tx].max(1.0);
+            assert_eq!(a.rate_bps.to_bits(), want.to_bits(), "tx {tx} rate");
+        }
+    }
+
+    proptest! {
+        /// The flat filling reproduces the ordered-map filling bit for bit,
+        /// with one set of buffers reused across every set.
+        #[test]
+        fn filling_matches_oracle_bit_for_bit(
+            capacity in arb_capacity(),
+            sets in vec(arb_active_set(), 1..6),
+        ) {
+            let mut filling = Filling::default();
+            for set in sets {
+                let indexed: Vec<(TxId, (u32, u32))> =
+                    set.iter().enumerate().map(|(i, &d)| (i as TxId, d)).collect();
+                let oracle = oracle_maxmin(capacity, &indexed);
+                let rates = filling.fill(capacity, set.iter().copied());
+                prop_assert_eq!(rates.len(), set.len());
+                for (tx, &rate) in rates.iter().enumerate() {
+                    prop_assert_eq!(rate.to_bits(), oracle[&(tx as TxId)].to_bits());
+                }
+            }
+        }
+
+        /// Through add/remove sequences (starts, completions, queue
+        /// promotions and crashes), every active rate equals the oracle's.
+        #[test]
+        fn engine_rates_match_oracle_through_add_remove(
+            capacity in prop_oneof![Just(3u64), Just(128_000u64), Just(1_000_000u64)],
+            ops in arb_ops(),
+        ) {
+            let mut p = phy(true, capacity, 2);
+            let mut now = SimTime::ZERO;
+            for (i, (op, gap_us)) in ops.into_iter().enumerate() {
+                now += SimDuration::from_micros(gap_us);
+                match op {
+                    Op::Enqueue { node, domains, bytes } => {
+                        p.enqueue(now, node, domains, bytes, i as u32);
+                    }
+                    Op::Complete(k) => {
+                        let pick = (!p.active.is_empty())
+                            .then(|| p.active.iter().nth(k % p.active.len()))
+                            .flatten()
+                            .map(|(&tx, a)| (tx, a.seq));
+                        if let Some((tx, seq)) = pick {
+                            prop_assert!(p.complete(now, tx, seq).is_some());
+                        }
+                    }
+                    Op::Flush(node) => {
+                        p.flush_node(now, node);
+                    }
+                }
+                assert_rates_match_oracle(&p);
+            }
+        }
     }
 }

@@ -22,9 +22,11 @@
 //! deadlines and reschedule directives that the caller (the netsim world)
 //! turns into events on its own kernel. Every completion deadline carries a
 //! sequence number; after a rate reallocation moves a deadline, the stale
-//! event is recognised by its outdated sequence number and ignored. All
-//! internal state lives in ordered containers so iteration order — and with it
-//! every allocation — is deterministic for a given call sequence.
+//! event is recognised by its outdated sequence number and ignored. Rates are
+//! a pure function of the call sequence: active transmissions are visited in
+//! ascending [`TxId`] order and contention domains in ascending id order
+//! (each id mapped to a dense index in that order), so every rate and deadline
+//! is deterministic, with ties broken towards the lowest domain id.
 //!
 //! Composition with fault injection is defined as *drop at dequeue*: the
 //! channel model decides only whether and when a frame reaches the air;

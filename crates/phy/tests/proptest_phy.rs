@@ -7,6 +7,10 @@
 //!    in enqueue order, per node and therefore per link, no matter how
 //!    contention stretches and reshuffles their completion deadlines.
 //!
+//! A metamorphic property ties the two channel models together: when every
+//! transmitter sits in a contention domain of its own, shared airtime has
+//! nothing to share and must replay constant bandwidth exactly.
+//!
 //! The driver below replays a generated workload through a [`Phy`] the same
 //! way the netsim world does: reschedule directives become ordered events,
 //! stale sequence numbers are ignored, and time only moves forward.
@@ -56,14 +60,17 @@ fn arb_jobs() -> impl Strategy<Value = Vec<Job>> {
 /// A completion-tape entry: transmitter plus its `(dest, job index)` payload.
 type Completion = (usize, (usize, u64));
 
+/// A timed completion: `(at µs, node, payload, airtime µs, queue wait µs)`.
+type Timed = (u64, usize, (usize, u64), u64, u64);
+
 /// Event-loop driver mirroring the world's scheduling contract.
 struct Sim {
     phy: Phy<(usize, u64)>,
     /// (deadline µs, insertion tie-break) → (tx, seq).
     events: BTreeMap<(u64, u64), (TxId, u64)>,
     tie: u64,
-    /// Completions in delivery order: (node, payload).
-    completed: Vec<Completion>,
+    /// Completions in delivery order, with their times.
+    tape: Vec<Timed>,
     capacity: f64,
     /// Conservation is an invariant of the shared model only; constant
     /// bandwidth intentionally gives every transmitter the full rate.
@@ -79,7 +86,7 @@ impl Sim {
             phy,
             events: BTreeMap::new(),
             tie: 0,
-            completed: Vec::new(),
+            tape: Vec::new(),
             capacity,
             shared,
         }
@@ -106,6 +113,14 @@ impl Sim {
         }
     }
 
+    /// The completions in delivery order: (node, payload).
+    fn completed(&self) -> Vec<Completion> {
+        self.tape
+            .iter()
+            .map(|&(_, node, payload, _, _)| (node, payload))
+            .collect()
+    }
+
     /// Fires every pending completion due at or before `horizon`.
     fn run_until(&mut self, horizon: u64) {
         while let Some((&(at, tie), &(tx, seq))) = self.events.iter().next() {
@@ -114,7 +129,13 @@ impl Sim {
             }
             self.events.remove(&(at, tie));
             if let Some((done, rescheds)) = self.phy.complete(SimTime::from_micros(at), tx, seq) {
-                self.completed.push((done.node, done.payload));
+                self.tape.push((
+                    at,
+                    done.node,
+                    done.payload,
+                    done.airtime.as_micros(),
+                    done.queued.as_micros(),
+                ));
                 self.schedule(rescheds);
                 self.assert_conservation();
             }
@@ -151,11 +172,12 @@ fn check_fifo_and_drain(model: PhyModel, jobs: &[Job]) {
     let (sim, accepted) = drive(model, jobs);
     // Everything accepted eventually left the air.
     prop_assert_eq!(sim.phy.active_count(), 0);
-    prop_assert_eq!(sim.completed.len(), accepted.len());
+    let completed = sim.completed();
+    prop_assert_eq!(completed.len(), accepted.len());
     // Per-node FIFO: each node's completions replay its accept order.
     for node in 0..6 {
         let sent: Vec<_> = accepted.iter().filter(|(n, _)| *n == node).collect();
-        let got: Vec<_> = sim.completed.iter().filter(|(n, _)| *n == node).collect();
+        let got: Vec<_> = completed.iter().filter(|(n, _)| *n == node).collect();
         prop_assert_eq!(sent, got, "node {} completions out of order", node);
     }
     // Per-link FIFO: the (node, dest) subsequences are ordered too.
@@ -163,7 +185,7 @@ fn check_fifo_and_drain(model: PhyModel, jobs: &[Job]) {
         for dest in 0..6 {
             let link = |(n, (d, _)): &&(usize, (usize, u64))| *n == node && *d == dest;
             let sent: Vec<_> = accepted.iter().filter(link).collect();
-            let got: Vec<_> = sim.completed.iter().filter(link).collect();
+            let got: Vec<_> = completed.iter().filter(link).collect();
             prop_assert_eq!(sent, got, "link {}->{} out of order", node, dest);
         }
     }
@@ -197,6 +219,21 @@ proptest! {
     fn replay_is_deterministic(jobs in arb_jobs()) {
         let (a, _) = drive(PhyModel::SharedAirtime(channel(250_000)), &jobs);
         let (b, _) = drive(PhyModel::SharedAirtime(channel(250_000)), &jobs);
-        prop_assert_eq!(a.completed, b.completed);
+        prop_assert_eq!(a.tape, b.tape);
+    }
+
+    /// Metamorphic: with every transmitter alone in its own domain, shared
+    /// airtime gives each the full channel, so its completion tape (times,
+    /// payloads, airtime and queue wait) equals constant bandwidth's.
+    #[test]
+    fn own_domains_make_shared_airtime_constant(jobs in arb_jobs(), bps in 1_000u64..2_000_000) {
+        let own: Vec<Job> = jobs
+            .into_iter()
+            .map(|j| Job { domains: (7 * j.node as u32 + 3, 7 * j.node as u32 + 3), ..j })
+            .collect();
+        let (shared, _) = drive(PhyModel::SharedAirtime(channel(bps)), &own);
+        let (constant, _) = drive(PhyModel::ConstantBandwidth(channel(bps)), &own);
+        prop_assert!(!constant.tape.is_empty());
+        prop_assert_eq!(shared.tape, constant.tape);
     }
 }

@@ -27,6 +27,7 @@ use crate::protocol::{CtxOutputs, ManetProtocolCf, ProtoCtx, ProtocolError, Prot
 use crate::registry::EventTuple;
 use crate::system::{MessageRegistration, SystemCf};
 use crate::telemetry::{intern_name, BusTelemetry};
+use crate::txn::Undo;
 
 /// Interface id a reactive protocol's reflective adapter exposes; the
 /// default integrity rules key on it.
@@ -148,8 +149,6 @@ impl fmt::Debug for ReconfigOp {
 pub struct DeploymentStats {
     /// Events routed through the Framework Manager.
     pub events_routed: u64,
-    /// Dispatch rounds (external stimuli processed).
-    pub dispatch_rounds: u64,
     /// Reconfiguration operations applied.
     pub reconfigs_applied: u64,
     /// Per-protocol counters.
@@ -256,12 +255,6 @@ pub struct Deployment {
     timers: TimerTable,
     stats: DeploymentStats,
     telemetry: BusTelemetry,
-    /// Telemetry state at the last [`flush_telemetry`](Self::flush_telemetry)
-    /// call; flushing bumps OS counters by the delta since.
-    telemetry_flushed: BusTelemetry,
-    /// Interned `bus.<unit>.events_{in,out}` counter names, indexed by unit
-    /// id and filled lazily on first flush.
-    counter_names: Vec<Option<(&'static str, &'static str)>>,
     started: bool,
 }
 
@@ -339,9 +332,7 @@ impl Deployment {
             concurrency,
             timers: TimerTable::default(),
             stats: DeploymentStats::default(),
-            telemetry: BusTelemetry::new(),
-            telemetry_flushed: BusTelemetry::new(),
-            counter_names: Vec::new(),
+            telemetry: BusTelemetry::default(),
             started: false,
         }
     }
@@ -405,53 +396,12 @@ impl Deployment {
             .map(|s| &s.cf)
     }
 
-    /// Dispatch telemetry (per-unit event counters, queue high-water mark,
-    /// wall-clock dispatch latency).
-    #[must_use]
-    pub fn telemetry(&self) -> &BusTelemetry {
-        &self.telemetry
-    }
-
-    /// Flushes the deterministic telemetry counters into the OS counter
-    /// table (surfacing them in `WorldStats::agent_counters` under `bus.*`
-    /// names). Bumps by the delta since the previous flush, so calling after
-    /// every callback is cheap and idempotent. Wall-clock dispatch latency
-    /// is deliberately excluded: it would differ between otherwise identical
-    /// runs.
+    /// Flushes the dispatch telemetry into the OS counter table (surfacing
+    /// it in `WorldStats::agent_counters` under `bus.*` names): bumps by what
+    /// accrued since the previous flush, so calling after every callback is
+    /// cheap and idempotent.
     pub fn flush_telemetry(&mut self, os: &mut NodeOs) {
-        let rounds = self.telemetry.dispatch_rounds - self.telemetry_flushed.dispatch_rounds;
-        os.bump_by("bus.dispatch_rounds", rounds);
-        let hwm = self.telemetry.queue_depth_hwm as u64;
-        let flushed_hwm = self.telemetry_flushed.queue_depth_hwm as u64;
-        os.bump_by("bus.queue_depth_hwm", hwm - flushed_hwm);
-        for (unit, counters) in self.telemetry.units().iter().enumerate() {
-            let previous = self.telemetry_flushed.unit(unit);
-            let delta_in = counters.events_in - previous.events_in;
-            let delta_out = counters.events_out - previous.events_out;
-            if delta_in == 0 && delta_out == 0 {
-                continue;
-            }
-            if self.counter_names.len() <= unit {
-                self.counter_names.resize(unit + 1, None);
-            }
-            let (in_name, out_name) = match self.counter_names[unit] {
-                Some(names) => names,
-                None => {
-                    let Some(name) = self.manager.unit_name(unit) else {
-                        continue;
-                    };
-                    let names = (
-                        intern_name(&format!("bus.{name}.events_in")),
-                        intern_name(&format!("bus.{name}.events_out")),
-                    );
-                    self.counter_names[unit] = Some(names);
-                    names
-                }
-            };
-            os.bump_by(in_name, delta_in);
-            os.bump_by(out_name, delta_out);
-        }
-        self.telemetry_flushed = self.telemetry.clone();
+        self.telemetry.flush(os, &self.manager);
     }
 
     /// Aggregate statistics.
@@ -478,13 +428,8 @@ impl Deployment {
         cf: ManetProtocolCf,
         os: &mut NodeOs,
     ) -> Result<(), DeployError> {
-        self.add_protocol_offline(cf)?;
-        if self.started {
-            let idx = self.slots.len() - 1;
-            self.start_protocol(idx, os);
-            self.drain(os);
-        }
-        Ok(())
+        let at = self.slots.len();
+        self.try_insert_protocol(at, cf, os).map_err(|(_, e)| e)
     }
 
     /// Deploys a protocol before the node has access to an OS (pre-install
@@ -494,33 +439,15 @@ impl Deployment {
     ///
     /// Same failure modes as [`add_protocol`](Self::add_protocol).
     pub fn add_protocol_offline(&mut self, cf: ManetProtocolCf) -> Result<(), DeployError> {
-        self.try_add_protocol_offline(cf).map_err(|(_, e)| e)
-    }
-
-    /// Like [`add_protocol_offline`](Self::add_protocol_offline), but hands
-    /// the protocol CF back on failure instead of dropping it — the
-    /// transactional path, where a rejected CF (and the state it may carry)
-    /// must survive the abort.
-    ///
-    /// # Errors
-    ///
-    /// Returns the untouched CF alongside the failure.
-    // The Err variant is deliberately the full CF: the caller re-owns it to
-    // reinstate carried state on abort, so boxing would only move the cost.
-    #[allow(clippy::result_large_err)]
-    pub fn try_add_protocol_offline(
-        &mut self,
-        cf: ManetProtocolCf,
-    ) -> Result<(), (ManetProtocolCf, DeployError)> {
         let at = self.slots.len();
-        self.try_insert_protocol_offline(at, cf)
+        self.try_insert_protocol_offline(at, cf).map_err(|(_, e)| e)
     }
 
-    /// Inserts a protocol at stack position `at` (used by transactional
-    /// rollback to reinstate a removed protocol in its original position),
-    /// returning the CF on failure.
+    /// Inserts a protocol at stack position `at`, returning the CF on
+    /// failure so a caller that must not lose it (a refused switch, a
+    /// rollback) can reinstate it.
     #[allow(clippy::result_large_err)]
-    pub(crate) fn try_insert_protocol_offline(
+    fn try_insert_protocol_offline(
         &mut self,
         at: usize,
         cf: ManetProtocolCf,
@@ -577,22 +504,21 @@ impl Deployment {
     }
 
     /// Stack position of the named protocol.
-    pub(crate) fn protocol_position(&self, name: &str) -> Option<usize> {
-        self.slots.iter().position(|s| s.cf.name() == name)
+    fn position(&self, name: &str) -> Result<usize, DeployError> {
+        self.slots
+            .iter()
+            .position(|s| s.cf.name() == name)
+            .ok_or_else(|| DeployError::NoSuchProtocol(name.to_string()))
     }
 
-    /// Replaces a protocol's tuple, returning the previous one (the undo
-    /// artefact for transactional rollback).
+    /// Replaces a protocol's tuple, returning the previous one.
     pub(crate) fn swap_protocol_tuple(
         &mut self,
         protocol: &str,
         tuple: EventTuple,
     ) -> Result<EventTuple, DeployError> {
-        let slot = self
-            .slots
-            .iter_mut()
-            .find(|s| s.cf.name() == protocol)
-            .ok_or_else(|| DeployError::NoSuchProtocol(protocol.to_string()))?;
+        let idx = self.position(protocol)?;
+        let slot = &mut self.slots[idx];
         let old = slot.cf.tuple().clone();
         slot.cf.set_tuple(tuple.clone());
         self.manager.update_tuple(slot.unit, tuple);
@@ -609,30 +535,24 @@ impl Deployment {
         name: &str,
         os: &mut NodeOs,
     ) -> Result<ManetProtocolCf, DeployError> {
-        let idx = self
-            .slots
-            .iter()
-            .position(|s| s.cf.name() == name)
-            .ok_or_else(|| DeployError::NoSuchProtocol(name.to_string()))?;
+        let idx = self.position(name)?;
+        self.remove_at(idx, os)
+    }
+
+    fn remove_at(&mut self, idx: usize, os: &mut NodeOs) -> Result<ManetProtocolCf, DeployError> {
         self.meta.remove(self.slots[idx].component)?;
         // Give the protocol its shutdown hook (kernel-route cleanup etc.).
-        {
-            let proto_name = self.slots[idx].cf.name().to_string();
-            let mut ctx = ProtoCtx::new(os, &proto_name);
-            self.slots[idx].cf.stop(&mut ctx);
-            let out = ctx.take_outputs();
-            drop(ctx);
-            // Emitted events are dropped (the protocol is leaving); direct
-            // sends still flush so goodbye messages could go out.
-            for (dst, msg) in out.sends {
-                self.system.send_direct(msg, dst);
-            }
-            self.system.flush(os);
+        // Emitted events are dropped (the protocol is leaving); direct sends
+        // still flush so goodbye messages could go out.
+        let out = self.call_protocol(idx, os, |cf, ctx| cf.stop(ctx));
+        for (dst, msg) in out.sends {
+            self.system.send_direct(msg, dst);
         }
-        for token in self.timers.drop_protocol(name) {
+        self.system.flush(os);
+        let slot = self.slots.remove(idx);
+        for token in self.timers.drop_protocol(slot.name) {
             os.cancel_timer(token);
         }
-        let slot = self.slots.remove(idx);
         self.manager.deactivate(slot.unit);
         Ok(slot.cf)
     }
@@ -645,73 +565,101 @@ impl Deployment {
     /// Propagates failures of the underlying operation; the deployment is
     /// left unchanged on error.
     pub fn apply(&mut self, op: ReconfigOp, os: &mut NodeOs) -> Result<(), DeployError> {
-        match op {
+        self.apply_logged(op, os)?;
+        self.stats.reconfigs_applied += 1;
+        Ok(())
+    }
+
+    /// The one interpreter of [`ReconfigOp`]: applies `op` and returns how
+    /// to undo it (`None` for a `Mutate`, which is an opaque `FnOnce`). A
+    /// failed op has no effect; a `SwitchProtocol` whose replacement is
+    /// refused reinstates the protocol it removed. Does not count the op:
+    /// [`apply`](Self::apply) counts it at once, a transaction on commit.
+    pub(crate) fn apply_logged(
+        &mut self,
+        op: ReconfigOp,
+        os: &mut NodeOs,
+    ) -> Result<Option<Undo>, DeployError> {
+        let undo = match op {
             ReconfigOp::AddProtocol(cf) => {
+                let name = cf.name().to_string();
                 self.add_protocol(cf, os)?;
                 os.trace_reconfig_apply("add_protocol");
+                Undo::RemoveAdded { name }
             }
             ReconfigOp::RemoveProtocol { name } => {
-                self.remove_protocol(&name, os)?;
+                let index = self.position(&name)?;
+                let cf = self.remove_at(index, os)?;
                 os.trace_reconfig_apply("remove_protocol");
+                Undo::Reinsert { cf, index }
             }
             ReconfigOp::SwitchProtocol {
                 old,
-                new,
+                mut new,
                 transfer_state,
             } => {
-                let mut old_cf = self.remove_protocol(&old, os)?;
-                let mut new = new;
+                let index = self.position(&old)?;
+                let mut old_cf = self.remove_at(index, os)?;
                 if transfer_state {
                     new.replace_state(old_cf.take_state());
                 }
                 os.trace_state_transfer("switch_protocol", transfer_state);
-                self.add_protocol(new, os)?;
+                let new_name = new.name().to_string();
+                let at = self.slots.len();
+                if let Err((mut refused, e)) = self.try_insert_protocol(at, new, os) {
+                    // Move the state back and reinstate the old protocol, so
+                    // this op nets out to a no-op like every other failed op.
+                    // Should that fail too, a transaction's rollback reports
+                    // the mismatch.
+                    if transfer_state {
+                        old_cf.replace_state(refused.take_state());
+                    }
+                    let _ = self.try_insert_protocol(index, old_cf, os);
+                    return Err(e);
+                }
                 os.trace_rebind("switch_protocol");
+                Undo::UnSwitch {
+                    new_name,
+                    old: old_cf,
+                    index,
+                    transfer: transfer_state,
+                }
             }
             ReconfigOp::UpdateTuple { protocol, tuple } => {
-                let slot = self
-                    .slots
-                    .iter_mut()
-                    .find(|s| s.cf.name() == protocol)
-                    .ok_or(DeployError::NoSuchProtocol(protocol))?;
-                slot.cf.set_tuple(tuple.clone());
-                self.manager.update_tuple(slot.unit, tuple);
+                let tuple = self.swap_protocol_tuple(&protocol, tuple)?;
                 os.trace_rebind("update_tuple");
+                Undo::RestoreTuple { protocol, tuple }
             }
             ReconfigOp::Mutate { protocol, op } => {
-                let slot = self
-                    .slots
-                    .iter_mut()
-                    .find(|s| s.cf.name() == protocol)
-                    .ok_or_else(|| DeployError::NoSuchProtocol(protocol.clone()))?;
+                let idx = self.position(&protocol)?;
+                let slot = &mut self.slots[idx];
                 op(&mut slot.cf);
                 // The mutation may have changed the tuple; re-derive wiring.
-                let tuple = slot.cf.tuple().clone();
-                self.manager.update_tuple(slot.unit, tuple);
+                self.manager
+                    .update_tuple(slot.unit, slot.cf.tuple().clone());
                 // Re-arm timers so sources added by the mutation run.
                 if self.started {
-                    let idx = self
-                        .slots
-                        .iter()
-                        .position(|s| s.cf.name() == protocol)
-                        .expect("slot still present");
                     self.start_protocol(idx, os);
                 }
                 os.trace_rebind("mutate");
+                return Ok(None);
             }
             ReconfigOp::RegisterMessage(reg) => {
+                let config = self.system.config();
                 self.system.register_message(reg);
                 self.refresh_system_tuple();
                 os.trace_rebind("register_message");
+                Undo::RestoreSystem { config }
             }
             ReconfigOp::MutateSystem { op } => {
+                let config = self.system.config();
                 op(&mut self.system);
                 self.refresh_system_tuple();
                 os.trace_rebind("mutate_system");
+                Undo::RestoreSystem { config }
             }
-        }
-        self.stats.reconfigs_applied += 1;
-        Ok(())
+        };
+        Ok(Some(undo))
     }
 
     // ---- lifecycle & stimuli ----------------------------------------------
@@ -730,23 +678,13 @@ impl Deployment {
     /// Stops every protocol (cancels timers).
     pub fn stop(&mut self, os: &mut NodeOs) {
         for idx in 0..self.slots.len() {
-            let name = self.slots[idx].name;
-            let mut ctx = ProtoCtx::new(os, name);
-            self.slots[idx].cf.stop(&mut ctx);
-            let out = ctx.take_outputs();
-            drop(ctx);
-            self.apply_outputs(idx, out, os);
+            self.run_protocol(idx, os, |cf, ctx| cf.stop(ctx));
         }
         self.started = false;
     }
 
     fn start_protocol(&mut self, idx: usize, os: &mut NodeOs) {
-        let name = self.slots[idx].name;
-        let mut ctx = ProtoCtx::new(os, name);
-        self.slots[idx].cf.start(&mut ctx);
-        let out = ctx.take_outputs();
-        drop(ctx);
-        self.apply_outputs(idx, out, os);
+        self.run_protocol(idx, os, |cf, ctx| cf.start(ctx));
     }
 
     /// A control frame arrived.
@@ -760,14 +698,10 @@ impl Deployment {
         let Some((protocol, ty)) = self.timers.fire(token) else {
             return; // stale timer of a removed protocol
         };
-        let Some(idx) = self.slots.iter().position(|s| s.cf.name() == protocol) else {
+        let Ok(idx) = self.position(&protocol) else {
             return;
         };
-        let mut ctx = ProtoCtx::new(os, &protocol);
-        self.slots[idx].cf.on_timer(&ty, &mut ctx);
-        let out = ctx.take_outputs();
-        drop(ctx);
-        self.apply_outputs(idx, out, os);
+        self.run_protocol(idx, os, |cf, ctx| cf.on_timer(&ty, ctx));
         self.drain(os);
     }
 
@@ -788,8 +722,23 @@ impl Deployment {
     /// Routes `events` (emitted by `origin`) and processes the resulting
     /// queue to quiescence, then flushes aggregated transmissions.
     pub fn dispatch(&mut self, os: &mut NodeOs, events: Vec<Event>, origin: Option<UnitId>) {
-        self.stats.dispatch_rounds += 1;
-        let started = std::time::Instant::now();
+        self.round(os, events, origin, |_, _| {});
+    }
+
+    fn drain(&mut self, os: &mut NodeOs) {
+        self.dispatch(os, Vec::new(), None);
+    }
+
+    /// One dispatch round: routes `events`, delivers the queue to
+    /// quiescence, runs `before_flush`, then flushes aggregated
+    /// transmissions.
+    fn round(
+        &mut self,
+        os: &mut NodeOs,
+        events: Vec<Event>,
+        origin: Option<UnitId>,
+        before_flush: impl FnOnce(&mut Self, &mut NodeOs),
+    ) {
         let mut queue = DispatchQueue::for_model(self.concurrency);
         for ev in events {
             self.route_event(&mut queue, ev, origin);
@@ -797,12 +746,38 @@ impl Deployment {
         while let Some((unit, event)) = queue.pop() {
             self.deliver_one(&mut queue, unit, &event, os);
         }
+        before_flush(self, os);
         self.system.flush(os);
-        self.telemetry.record_round(started.elapsed());
+        self.telemetry.record_round();
     }
 
-    fn drain(&mut self, os: &mut NodeOs) {
-        self.dispatch(os, Vec::new(), None);
+    /// Calls protocol `idx` with a fresh [`ProtoCtx`] and returns what it
+    /// produced.
+    fn call_protocol(
+        &mut self,
+        idx: usize,
+        os: &mut NodeOs,
+        f: impl FnOnce(&mut ManetProtocolCf, &mut ProtoCtx<'_>),
+    ) -> CtxOutputs {
+        let mut ctx = ProtoCtx::new(os, self.slots[idx].name);
+        f(&mut self.slots[idx].cf, &mut ctx);
+        ctx.take_outputs()
+    }
+
+    /// Calls protocol `idx` outside an active queue (start, stop, a timer)
+    /// and runs its outputs through a dispatch round of their own.
+    fn run_protocol(
+        &mut self,
+        idx: usize,
+        os: &mut NodeOs,
+        f: impl FnOnce(&mut ManetProtocolCf, &mut ProtoCtx<'_>),
+    ) {
+        let mut out = self.call_protocol(idx, os, f);
+        let emitted = std::mem::take(&mut out.emitted);
+        let origin = Some(self.slots[idx].unit);
+        self.round(os, emitted, origin, |dep, os| {
+            dep.apply_side_effects(idx, out, os);
+        });
     }
 
     fn route_event(&mut self, queue: &mut DispatchQueue, mut event: Event, origin: Option<UnitId>) {
@@ -851,33 +826,11 @@ impl Deployment {
         let Some(idx) = self.slots.iter().position(|s| s.unit == unit) else {
             return; // unit removed while event in flight
         };
-        let name = self.slots[idx].name;
-        let mut ctx = ProtoCtx::new(os, name);
-        self.slots[idx].cf.deliver(event, &mut ctx);
-        let out = ctx.take_outputs();
-        drop(ctx);
-        let origin_unit = self.slots[idx].unit;
-        for ev in out.emitted {
-            self.route_event(queue, ev, Some(origin_unit));
+        let mut out = self.call_protocol(idx, os, |cf, ctx| cf.deliver(event, ctx));
+        for ev in std::mem::take(&mut out.emitted) {
+            self.route_event(queue, ev, Some(unit));
         }
-        self.apply_side_effects(idx, out.sends, out.timer_sets, out.timer_cancels, os);
-    }
-
-    /// Applies non-event outputs and routes emitted events through a fresh
-    /// dispatch (used outside an active queue, e.g. timer handling).
-    fn apply_outputs(&mut self, idx: usize, out: CtxOutputs, os: &mut NodeOs) {
-        let started = std::time::Instant::now();
-        let origin_unit = self.slots[idx].unit;
-        let mut queue = DispatchQueue::for_model(self.concurrency);
-        for ev in out.emitted {
-            self.route_event(&mut queue, ev, Some(origin_unit));
-        }
-        while let Some((unit, event)) = queue.pop() {
-            self.deliver_one(&mut queue, unit, &event, os);
-        }
-        self.apply_side_effects(idx, out.sends, out.timer_sets, out.timer_cancels, os);
-        self.system.flush(os);
-        self.telemetry.record_round(started.elapsed());
+        self.apply_side_effects(idx, out, os);
     }
 
     /// Credits `n` reconfiguration ops to the counters (the transactional
@@ -886,24 +839,19 @@ impl Deployment {
         self.stats.reconfigs_applied += n;
     }
 
-    fn apply_side_effects(
-        &mut self,
-        idx: usize,
-        sends: Vec<(Option<Address>, packetbb::Message)>,
-        timer_sets: Vec<(netsim::SimDuration, EventType)>,
-        timer_cancels: Vec<EventType>,
-        os: &mut NodeOs,
-    ) {
-        for (dst, msg) in sends {
+    /// Applies a protocol's sends and timer requests (its emitted events
+    /// are routed by the caller).
+    fn apply_side_effects(&mut self, idx: usize, out: CtxOutputs, os: &mut NodeOs) {
+        for (dst, msg) in out.sends {
             self.system.send_direct(msg, dst);
         }
         let name = self.slots[idx].name;
-        for ty in timer_cancels {
+        for ty in out.timer_cancels {
             if let Some(token) = self.timers.cancel(name, &ty) {
                 os.cancel_timer(token);
             }
         }
-        for (delay, ty) in timer_sets {
+        for (delay, ty) in out.timer_sets {
             let (token, old) = self.timers.arm(name, ty);
             if let Some(old_token) = old {
                 os.cancel_timer(old_token);

@@ -711,16 +711,8 @@ impl FleetCoordinator {
                 break;
             }
             if world.now() > deadline {
-                let laggards: Vec<NodeId> = participants
-                    .iter()
-                    .filter(|&&i| {
-                        !matches!(
-                            self.handles[i].status().txn,
-                            Some(ref r) if r.id == txn && r.phase == TxnPhase::Prepared
-                        )
-                    })
-                    .map(|&i| self.ids[i])
-                    .collect();
+                let laggards =
+                    self.laggards(&participants, txn, |phase| phase == TxnPhase::Prepared);
                 abort_reason = Some(format!(
                     "prepare deadline passed with node(s) {} unprepared",
                     id_list(&laggards)
@@ -799,20 +791,31 @@ impl FleetCoordinator {
         let deadline = world.now() + opts.resolve_timeout;
         loop {
             world.run_for(opts.poll);
-            let laggards: Vec<NodeId> = participants
-                .iter()
-                .filter(|&&i| {
-                    !matches!(
-                        self.handles[i].status().txn,
-                        Some(ref r) if r.id == txn && done(r.phase)
-                    )
-                })
-                .map(|&i| self.ids[i])
-                .collect();
+            let laggards = self.laggards(participants, txn, &done);
             if laggards.is_empty() || world.now() > deadline {
                 return laggards;
             }
         }
+    }
+
+    /// The participants whose status does not (yet) report `txn` in a
+    /// phase `done` accepts.
+    fn laggards(
+        &self,
+        participants: &[usize],
+        txn: u64,
+        done: impl Fn(TxnPhase) -> bool,
+    ) -> Vec<NodeId> {
+        participants
+            .iter()
+            .filter(|&&i| {
+                !matches!(
+                    self.handles[i].status().txn,
+                    Some(ref r) if r.id == txn && done(r.phase)
+                )
+            })
+            .map(|&i| self.ids[i])
+            .collect()
     }
 }
 

@@ -1,19 +1,20 @@
 //! Transactional reconfiguration: checkpoint, apply, validate, roll back.
 //!
 //! The quiescence discipline (§4.5) guarantees no event is *in flight* when
-//! a reconfiguration runs, but it says nothing about what happens when the
-//! reconfiguration itself fails halfway: a `SwitchProtocol` whose add leg is
-//! vetoed would previously leave the node with the old protocol gone and the
-//! new one never installed. This module wraps a batch of [`ReconfigOp`]s in
-//! a transaction:
+//! a reconfiguration runs, but not that a *batch* of ops is atomic. Each op
+//! is: [`Deployment::apply`] leaves the deployment unchanged when an op
+//! fails (a `SwitchProtocol` whose replacement is refused reinstates the
+//! protocol it removed). This module wraps a batch of [`ReconfigOp`]s in a
+//! transaction:
 //!
 //! 1. **Checkpoint** — capture a [`CompositionFingerprint`] of the
 //!    architecture meta-model, protocol tuples/plug-ins, exported protocol
 //!    state and System CF configuration.
-//! 2. **Apply** — run each op while building a physical undo log (removed
-//!    CFs are *kept*, not reconstructed — protocol state lives in
-//!    type-erased [`StateSlot`](crate::protocol::StateSlot)s that cannot be
-//!    cloned).
+//! 2. **Apply** — run each op through the same interpreter as
+//!    [`Deployment::apply`], which hands back the op's undo record; the
+//!    records form a physical undo log (removed CFs are *kept*, not
+//!    reconstructed — protocol state lives in type-erased
+//!    [`StateSlot`](crate::protocol::StateSlot)s that cannot be cloned).
 //! 3. **Validate** — any op failure, integrity veto, quiescence timeout or
 //!    non-undoable op aborts the transaction.
 //! 4. **Roll back** — unwind the undo log in reverse and verify the
@@ -36,7 +37,7 @@ use std::time::Duration;
 
 use netsim::NodeOs;
 
-use crate::node::{Deployment, ReconfigOp};
+use crate::node::{DeployError, Deployment, ReconfigOp};
 use crate::protocol::ManetProtocolCf;
 use crate::registry::EventTuple;
 use crate::system::SystemConfig;
@@ -110,11 +111,12 @@ pub struct ProtocolFingerprint {
     pub state: Option<Vec<u8>>,
 }
 
-/// Computes the [`CompositionFingerprint`] of a deployment.
-#[must_use]
-pub fn fingerprint(dep: &Deployment) -> CompositionFingerprint {
-    let arch = dep.meta().architecture();
-    let mut components: Vec<(String, Vec<String>, Vec<String>)> = arch
+/// The architecture meta-model as `(name, provided, required)` interface
+/// names, each list sorted and the entries sorted by name.
+fn sorted_components(dep: &Deployment) -> Vec<(String, Vec<String>, Vec<String>)> {
+    let mut components: Vec<(String, Vec<String>, Vec<String>)> = dep
+        .meta()
+        .architecture()
         .components
         .iter()
         .map(|c| {
@@ -128,6 +130,12 @@ pub fn fingerprint(dep: &Deployment) -> CompositionFingerprint {
         })
         .collect();
     components.sort();
+    components
+}
+
+/// Computes the [`CompositionFingerprint`] of a deployment.
+#[must_use]
+pub fn fingerprint(dep: &Deployment) -> CompositionFingerprint {
     let protocols = dep
         .protocol_names()
         .iter()
@@ -141,7 +149,7 @@ pub fn fingerprint(dep: &Deployment) -> CompositionFingerprint {
         })
         .collect();
     CompositionFingerprint {
-        components,
+        components: sorted_components(dep),
         protocols,
         system: dep.system().config(),
     }
@@ -167,22 +175,7 @@ pub fn fingerprint(dep: &Deployment) -> CompositionFingerprint {
 pub fn structural_hash(dep: &Deployment) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    let arch = dep.meta().architecture();
-    let mut components: Vec<(String, Vec<String>, Vec<String>)> = arch
-        .components
-        .iter()
-        .map(|c| {
-            let mut provided: Vec<String> =
-                c.provided.iter().map(|i| i.as_str().to_string()).collect();
-            provided.sort();
-            let mut required: Vec<String> =
-                c.required.iter().map(|r| r.as_str().to_string()).collect();
-            required.sort();
-            (c.name.clone(), provided, required)
-        })
-        .collect();
-    components.sort();
-    components.hash(&mut h);
+    sorted_components(dep).hash(&mut h);
     for name in dep.protocol_names() {
         let Some(cf) = dep.protocol(&name) else {
             continue;
@@ -196,10 +189,11 @@ pub fn structural_hash(dep: &Deployment) -> u64 {
     h.finish()
 }
 
-/// One reversible step of an applied transaction. Undo is *physical*:
-/// removed CFs ride along in the log and are reinserted on rollback, which
-/// is the only way to restore type-erased protocol state exactly.
-enum Undo {
+/// How to reverse one applied op, as returned by the op interpreter
+/// (`Deployment::apply_logged`). Undo is *physical*: removed CFs ride along
+/// in the log and are reinserted on rollback, which is the only way to
+/// restore type-erased protocol state exactly.
+pub(crate) enum Undo {
     /// An `AddProtocol` applied — undo removes it again.
     RemoveAdded { name: String },
     /// A `RemoveProtocol` applied — undo reinserts the kept CF at its old
@@ -297,13 +291,29 @@ pub fn prepare(
     let mut undo: Vec<Undo> = Vec::with_capacity(ops.len());
     let mut ops_applied = 0u64;
     let mut failure: Option<(&'static str, String)> = None;
+    // On the first failure the remaining ops are dropped; the batch is
+    // atomic.
     for op in ops {
-        if failure.is_some() {
-            break; // remaining ops are dropped; the batch is atomic
+        if let ReconfigOp::Mutate { protocol, .. } = &op {
+            failure = Some((
+                "non_undoable",
+                format!("Mutate({protocol}) is an opaque FnOnce and cannot be rolled back; apply it outside a transaction"),
+            ));
+            break;
         }
-        match apply_one(dep, op, &mut undo, os) {
-            Ok(()) => ops_applied += 1,
-            Err((reason, detail)) => failure = Some((reason, detail)),
+        match dep.apply_logged(op, os) {
+            Ok(entry) => {
+                undo.extend(entry);
+                ops_applied += 1;
+            }
+            Err(e) => {
+                let reason = match e {
+                    DeployError::Integrity(_) => "integrity",
+                    _ => "op_failed",
+                };
+                failure = Some((reason, e.to_string()));
+                break;
+            }
         }
     }
     if let Some((reason, detail)) = failure {
@@ -370,152 +380,6 @@ pub fn revert(dep: &mut Deployment, txn: PreparedTxn, os: &mut NodeOs) -> bool {
     os.bump("txn.reverted");
     os.trace_txn_revert(id, ops_applied);
     clean
-}
-
-/// Applies a whole batch transactionally in one step: prepare then commit.
-/// The single-node convenience over the prepare/commit split the fleet
-/// coordinator uses.
-///
-/// # Errors
-///
-/// Aborts (with rollback already performed) under the same conditions as
-/// [`prepare`].
-pub fn apply_transactional(
-    dep: &mut Deployment,
-    id: u64,
-    ops: Vec<ReconfigOp>,
-    os: &mut NodeOs,
-) -> Result<u64, TxnAborted> {
-    let txn = prepare(dep, id, ops, DEFAULT_QUIESCE_WITHIN, os)?;
-    let applied = txn.ops_applied;
-    commit(dep, &txn, os);
-    Ok(applied)
-}
-
-/// Applies one op, logging its undo. On error the op itself has had no
-/// effect (individual ops are atomic); the caller unwinds previous ops.
-fn apply_one(
-    dep: &mut Deployment,
-    op: ReconfigOp,
-    undo: &mut Vec<Undo>,
-    os: &mut NodeOs,
-) -> Result<(), (&'static str, String)> {
-    match op {
-        ReconfigOp::AddProtocol(cf) => {
-            let name = cf.name().to_string();
-            let at = dep.protocol_names().len();
-            match dep.try_insert_protocol(at, cf, os) {
-                Ok(()) => {
-                    undo.push(Undo::RemoveAdded { name });
-                    os.trace_reconfig_apply("add_protocol");
-                    Ok(())
-                }
-                Err((_, e)) => Err(classify(&e)),
-            }
-        }
-        ReconfigOp::RemoveProtocol { name } => {
-            let index = dep
-                .protocol_position(&name)
-                .ok_or_else(|| ("op_failed", format!("no protocol named {name:?}")))?;
-            match dep.remove_protocol(&name, os) {
-                Ok(cf) => {
-                    undo.push(Undo::Reinsert { cf, index });
-                    os.trace_reconfig_apply("remove_protocol");
-                    Ok(())
-                }
-                Err(e) => Err(classify(&e)),
-            }
-        }
-        ReconfigOp::SwitchProtocol {
-            old,
-            new,
-            transfer_state,
-        } => {
-            let index = dep
-                .protocol_position(&old)
-                .ok_or_else(|| ("op_failed", format!("no protocol named {old:?}")))?;
-            let mut old_cf = match dep.remove_protocol(&old, os) {
-                Ok(cf) => cf,
-                Err(e) => return Err(classify(&e)),
-            };
-            let mut new = new;
-            if transfer_state {
-                new.replace_state(old_cf.take_state());
-            }
-            os.trace_state_transfer("switch_protocol", transfer_state);
-            let new_name = new.name().to_string();
-            let at = dep.protocol_names().len();
-            match dep.try_insert_protocol(at, new, os) {
-                Ok(()) => {
-                    undo.push(Undo::UnSwitch {
-                        new_name,
-                        old: old_cf,
-                        index,
-                        transfer: transfer_state,
-                    });
-                    os.trace_rebind("switch_protocol");
-                    Ok(())
-                }
-                Err((mut rejected, e)) => {
-                    // The new CF was refused: move the state back and
-                    // reinstate the old protocol before reporting, so this
-                    // op nets out to a no-op like every other failed op.
-                    if transfer_state {
-                        old_cf.replace_state(rejected.take_state());
-                    }
-                    let classified = classify(&e);
-                    if let Err((_, reinsert_err)) = dep.try_insert_protocol(index, old_cf, os) {
-                        return Err((
-                            classified.0,
-                            format!("{} (and reinstating {old:?} failed: {reinsert_err})", classified.1),
-                        ));
-                    }
-                    Err(classified)
-                }
-            }
-        }
-        ReconfigOp::UpdateTuple { protocol, tuple } => {
-            match dep.swap_protocol_tuple(&protocol, tuple) {
-                Ok(previous) => {
-                    undo.push(Undo::RestoreTuple {
-                        protocol,
-                        tuple: previous,
-                    });
-                    os.trace_rebind("update_tuple");
-                    Ok(())
-                }
-                Err(e) => Err(classify(&e)),
-            }
-        }
-        ReconfigOp::Mutate { protocol, .. } => Err((
-            "non_undoable",
-            format!("Mutate({protocol}) is an opaque FnOnce and cannot be rolled back; apply it outside a transaction"),
-        )),
-        ReconfigOp::RegisterMessage(reg) => {
-            let config = dep.system().config();
-            dep.system_mut().register_message(reg);
-            dep.refresh_system_tuple();
-            undo.push(Undo::RestoreSystem { config });
-            os.trace_rebind("register_message");
-            Ok(())
-        }
-        ReconfigOp::MutateSystem { op } => {
-            let config = dep.system().config();
-            op(dep.system_mut());
-            dep.refresh_system_tuple();
-            undo.push(Undo::RestoreSystem { config });
-            os.trace_rebind("mutate_system");
-            Ok(())
-        }
-    }
-}
-
-fn classify(e: &crate::node::DeployError) -> (&'static str, String) {
-    let reason = match e {
-        crate::node::DeployError::Integrity(_) => "integrity",
-        _ => "op_failed",
-    };
-    (reason, e.to_string())
 }
 
 /// Unwinds an undo log in reverse and verifies the result against the

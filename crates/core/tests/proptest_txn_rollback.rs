@@ -59,9 +59,13 @@ fn base_deployment(os: &mut NodeOs) -> Deployment {
     dep
 }
 
+/// Number of distinct [`build_op`] codes.
+const OP_CODES: u8 = 10;
+
 /// Builds op `i` of a batch from a generated code. Codes deliberately mix
-/// ops that succeed, ops that must fail (unknown/duplicate protocols) and
-/// a non-undoable `Mutate` — every mix exercises a different abort point.
+/// ops that succeed, ops that must fail (unknown/duplicate protocols, a
+/// switch whose replacement is refused) and a non-undoable `Mutate` —
+/// every mix exercises a different abort point.
 fn build_op(code: u8, i: usize) -> ReconfigOp {
     match code {
         0 => ReconfigOp::AddProtocol(stateful_cf(format!("p{i}"), i as u64)),
@@ -88,8 +92,15 @@ fn build_op(code: u8, i: usize) -> ReconfigOp {
             new: stateful_cf(format!("s{i}"), 100 + i as u64),
             transfer_state: true,
         },
-        _ => ReconfigOp::MutateSystem {
+        8 => ReconfigOp::MutateSystem {
             op: Box::new(|sys| sys.enable_netlink()),
+        },
+        // "gamma" is already deployed, so the switch removes "alpha" and
+        // then has its replacement refused.
+        _ => ReconfigOp::SwitchProtocol {
+            old: "alpha".into(),
+            new: stateful_cf("gamma".into(), 200 + i as u64),
+            transfer_state: true,
         },
     }
 }
@@ -103,7 +114,7 @@ proptest! {
     /// fingerprint byte-identically to the checkpoint.
     #[test]
     fn abort_at_any_failure_point_restores_the_checkpoint(
-        codes in proptest::collection::vec(0u8..9, 1..10),
+        codes in proptest::collection::vec(0u8..OP_CODES, 1..10),
     ) {
         let mut os = NodeOs::standalone(NodeId(0), Address::v4([10, 0, 0, 1]));
         let mut dep = base_deployment(&mut os);
@@ -129,6 +140,23 @@ proptest! {
                     aborted.detail
                 );
                 prop_assert_eq!(txn::fingerprint(&dep), before);
+            }
+        }
+    }
+
+    /// Outside a transaction, every op that fails leaves the composition
+    /// as it found it: a refused `SwitchProtocol` reinstates the protocol
+    /// it removed instead of leaving the node with neither.
+    #[test]
+    fn failed_plain_ops_leave_the_composition_unchanged(
+        codes in proptest::collection::vec(0u8..OP_CODES, 1..10),
+    ) {
+        let mut os = NodeOs::standalone(NodeId(0), Address::v4([10, 0, 0, 1]));
+        let mut dep = base_deployment(&mut os);
+        for (i, code) in codes.iter().enumerate() {
+            let before = txn::fingerprint(&dep);
+            if let Err(e) = dep.apply(build_op(*code, i), &mut os) {
+                prop_assert_eq!(txn::fingerprint(&dep), before, "op {} ({}) failed: {}", i, code, e);
             }
         }
     }
